@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchpresolve benchincr benchservice benchopt benchportfolio incrsmoke optsmoke portfoliosmoke fuzz
+.PHONY: check build vet benchmod test race racebatch raceservice bench benchkernel benchsmoke benchbatch benchpresolve benchincr benchservice benchopt benchportfolio incrsmoke optsmoke portfoliosmoke fuzz
 
 ## check: the CI gate — build, vet (the whole module, including the new
 ## portfolio scheduler), race-checked tests, a 1-iteration benchmark
@@ -9,14 +9,22 @@ GO ?= go
 ## the service-layer race gate + load benchmark, and a short fuzz smoke
 ## of the SMT-LIB front end (includes the remote fault-injection suite
 ## in internal/remote, the root-package context/failover acceptance
-## tests, and — under -race — the batch/shard/cache concurrency suite).
-check: build vet race benchsmoke benchpresolve incrsmoke optsmoke portfoliosmoke raceservice benchservice fuzz
+## tests, and — under -race — the batch/shard/cache concurrency suite),
+## plus the benchmark module's own vet and tests.
+check: build vet benchmod race benchsmoke benchpresolve incrsmoke optsmoke portfoliosmoke raceservice benchservice fuzz
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+## benchmod: vet and test the benchmark module (qsmtbench/, a module of
+## its own outside ./...), so an API change that breaks the benchmark
+## fails here rather than at benchmark time.
+benchmod:
+	$(GO) -C qsmtbench vet ./...
+	$(GO) -C qsmtbench test ./...
 
 test:
 	$(GO) test ./...

@@ -1,28 +1,21 @@
 package qsmt
 
 import (
-	"fmt"
+	"context"
 	"runtime"
 	"sync"
 	"time"
-
-	"context"
-
-	"qsmt/internal/anneal"
-	"qsmt/internal/portfolio"
-	"qsmt/internal/qubo"
 )
 
-// This file is the batch/shard layer: the paper's workload is many
-// small, independent QUBOs (one per constraint, 7 bits per character),
-// exactly the shape that rewards batching across constraints and
-// sharding within them. SolveBatch runs a fleet of constraints over a
-// bounded worker pool; each solve decomposes its model into the
-// connected components of the variable-interaction graph
-// (qubo.Components) and solves the components as independent shards —
-// coupler-free shards closed-form, small shards by exact enumeration,
-// the rest through the configured sampler, which may be a remote.Pool
-// fanning the shards out across an annealerd fleet.
+// This file is the batch layer: the paper's workload is many small,
+// independent QUBOs (one per constraint, 7 bits per character), exactly
+// the shape that rewards batching across constraints and sharding
+// within them. SolveBatch runs a fleet of constraints over a bounded
+// worker pool; each solve plans its model as the connected components
+// of the variable-interaction graph (see engine.go) — coupler-free
+// shards closed-form, small shards by exact enumeration, the rest
+// through the configured sampler, which may be a remote.Pool fanning
+// the shards out across an annealerd fleet.
 
 // BatchItem is the outcome of one constraint of a batch, in submission
 // order. Exactly one of Result and Err is non-nil.
@@ -141,283 +134,4 @@ func (s *Solver) batchSolver() *Solver {
 	}
 	cp.gate = make(chan struct{}, workers)
 	return cp
-}
-
-// shardPlan is one shard of a sharded solve, classified by how it will
-// be solved.
-type shardPlan struct {
-	shard    qubo.Shard
-	compiled *qubo.Compiled // nil for closed-form shards
-	exact    bool           // exhaustively enumerated instead of sampled
-	trivial  bool           // coupler-free: solved closed-form
-	seeds    [][]qubo.Bit   // warm-start states for sampled shards
-}
-
-// planShards classifies the component shards of a model: coupler-free
-// shards solve closed-form, small shards enumerate exactly, the rest
-// are compiled for the sampler (with warm-start seeds when supported).
-// Shared by the sat path (solveSharded) and the optimize path
-// (optimizeSharded).
-func (s *Solver) planShards(shards []qubo.Shard, st *SolveStats) []shardPlan {
-	plans := make([]shardPlan, len(shards))
-	for i, sh := range shards {
-		if sh.Model.NumQuadratic() == 0 {
-			plans[i] = shardPlan{shard: sh, trivial: true}
-			st.ExactShards++
-			continue
-		}
-		compiled := s.compileModel(sh.Model, st)
-		exact := s.opts.ExactShardVars > 0 && compiled.N <= s.opts.ExactShardVars
-		if exact {
-			st.ExactShards++
-		}
-		plans[i] = shardPlan{shard: sh, compiled: compiled, exact: exact}
-		if !exact && supportsWarmStart(s.samplerFor(0)) {
-			plans[i].seeds = s.warmSeeds(compiled)
-		}
-	}
-	return plans
-}
-
-// sampleShards samples every non-trivial shard concurrently; each
-// sampling call individually acquires a batch-gate slot (when one is
-// installed), so shard fan-out from many batched constraints still
-// respects the global worker bound. The returned error names the
-// failing shard.
-func (s *Solver) sampleShards(ctx context.Context, plans []shardPlan, attempt int, st *SolveStats) ([]*anneal.SampleSet, error) {
-	sets := make([]*anneal.SampleSet, len(plans))
-	errs := make([]error, len(plans))
-	racing := s.portfolioShards()
-	var outcomes []*portfolio.Outcome
-	if racing {
-		outcomes = make([]*portfolio.Outcome, len(plans))
-	}
-	var wg sync.WaitGroup
-	for i := range plans {
-		p := &plans[i]
-		if p.trivial {
-			sets[i] = solveLinearShard(p.shard.Model, s.opts.Seed, attempt, i)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, p *shardPlan) {
-			defer wg.Done()
-			// Stat counters are updated after wg.Wait() (below) to keep
-			// the goroutines write-free on st.
-			if racing && !p.exact {
-				o, err := s.racePortfolio(ctx, p.compiled, p.seeds, attempt, i)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				outcomes[i] = o
-				sets[i] = o.Set
-				return
-			}
-			var sampler Sampler
-			if p.exact {
-				sampler = &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt}
-			} else {
-				sampler = s.samplerFor(attempt)
-				sampler, _ = warmSampler(sampler, p.seeds)
-			}
-			sets[i], errs[i] = s.sample(ctx, sampler, p.compiled)
-		}(i, p)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d/%d: %w", i, len(plans), err)
-		}
-	}
-	for _, o := range outcomes {
-		if o != nil {
-			st.observePortfolio(o)
-		}
-	}
-	for i := range plans {
-		if len(plans[i].seeds) == 0 {
-			continue
-		}
-		st.WarmSeeded++
-		if ss := sets[i]; ss.Len() > 0 && ss.Best().Warm {
-			st.WarmHits++
-		}
-	}
-	return sets, nil
-}
-
-// shardSamplerName names the sampling tier a sharded attempt runs on:
-// the portfolio scheduler when racing, else the configured sampler.
-func (s *Solver) shardSamplerName(attempt int) string {
-	if s.portfolioShards() {
-		return "portfolio"
-	}
-	return samplerName(s.samplerFor(attempt))
-}
-
-// aggregateShardSets folds per-shard sample statistics into st and
-// returns the deepest usable candidate rank. Energies are additive over
-// components (plus the parent offset, which the shards do not carry);
-// ground fractions multiply because the shards are sampled
-// independently. maxLen is -1 when any shard's set came back empty.
-func aggregateShardSets(model *qubo.Model, sets []*anneal.SampleSet, st *SolveStats) (maxLen int) {
-	best, mean, gf := model.Offset(), model.Offset(), 1.0
-	for _, ss := range sets {
-		st.Reads += ss.TotalReads()
-		st.observeKernel(ss.Kernel)
-		if ss.Len() == 0 {
-			return -1
-		}
-		if ss.Len() > maxLen {
-			maxLen = ss.Len()
-		}
-		best += ss.Best().Energy
-		mean += ss.MeanEnergy()
-		gf *= ss.GroundFraction(0)
-	}
-	if maxLen > 0 {
-		st.observeBest(best)
-		st.MeanEnergy = mean
-		st.GroundFraction = gf
-	}
-	return maxLen
-}
-
-// mergeShardCandidate scatters the k-th best sample of every shard
-// (clamped to each shard's sample count) into one reduced-space
-// assignment and its exact total energy; merged candidate 0 is the
-// global best the attempt found.
-func mergeShardCandidate(model *qubo.Model, plans []shardPlan, sets []*anneal.SampleSet, k int) ([]qubo.Bit, float64) {
-	x := make([]qubo.Bit, model.N())
-	energy := model.Offset()
-	for i := range plans {
-		ss := sets[i]
-		idx := k
-		if idx >= ss.Len() {
-			idx = ss.Len() - 1
-		}
-		smp := ss.Samples[idx]
-		plans[i].shard.Scatter(x, smp.X)
-		energy += smp.Energy
-	}
-	return x, energy
-}
-
-// solveSharded attempts the component decomposition of model — the
-// (possibly presolve-reduced) working model, whose samples red lifts
-// back to the fullN-variable space. handled is false when the
-// interaction graph is connected (≤ 1 component) — the caller then
-// falls back to whole-model solving on the model it already built. The
-// decomposition is exact: no coupler crosses a component boundary, so
-// merging per-shard minima yields a global minimum, and merged
-// candidate energies are exact total energies (the reduced model's
-// offset carries the energy presolve folded away).
-func (s *Solver) solveSharded(ctx context.Context, c Constraint, model *qubo.Model, red *qubo.Reduction, fullN int, start time.Time, st *SolveStats) (*Result, error, bool) {
-	shards := qubo.Components(model)
-	if len(shards) <= 1 {
-		return nil, nil, false
-	}
-	st.Shards = len(shards)
-	plans := s.planShards(shards, st)
-	st.Compile = time.Since(start) - st.Presolve
-
-	var lastCheck error
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: solving %s: %w", c.Name(), err), true
-		}
-		st.Attempts = attempt + 1
-		st.Sampler = s.shardSamplerName(attempt)
-
-		phase := time.Now()
-		sets, err := s.sampleShards(ctx, plans, attempt, st)
-		st.Sample += time.Since(phase)
-		if err != nil {
-			return nil, fmt.Errorf("qsmt: sampling %s: %w", c.Name(), err), true
-		}
-
-		maxLen := aggregateShardSets(model, sets, st)
-		if maxLen <= 0 {
-			// A (custom) sampler returned an empty set for some shard; no
-			// candidate can be merged this attempt.
-			lastCheck = fmt.Errorf("qsmt: empty sample set for a shard of %s", c.Name())
-			continue
-		}
-
-		// Merge the k-th best sample of every shard into the k-th
-		// reduced-space candidate, then lift it through the presolve
-		// reduction to the full variable space.
-		limit := s.opts.CandidatesPerAttempt
-		if limit > maxLen {
-			limit = maxLen
-		}
-		phase = time.Now()
-		for k := 0; k < limit; k++ {
-			x, energy := mergeShardCandidate(model, plans, sets, k)
-			w, ok, fatal, checkErr := examineCandidate(c, liftBits(red, x), st)
-			if fatal != nil {
-				st.DecodeVerify += time.Since(phase)
-				return nil, fatal, true
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			st.DecodeVerify += time.Since(phase)
-			res := &Result{
-				Witness:  w,
-				Energy:   energy,
-				Attempts: attempt + 1,
-				Vars:     fullN,
-				Shards:   len(shards),
-				Elapsed:  time.Since(start),
-			}
-			res.Stats = *st
-			return res, nil, true
-		}
-		st.DecodeVerify += time.Since(phase)
-
-		// With no sampled shards the attempt is deterministic up to
-		// free-variable tie-breaking; further attempts still reshuffle
-		// those, so the retry loop keeps going (it is cheap here).
-	}
-	if lastCheck != nil {
-		return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck), true
-	}
-	return nil, ErrNoModel, true
-}
-
-// solveLinearShard solves a coupler-free shard closed-form: each
-// variable independently minimizes its diagonal coefficient (1 when
-// negative, 0 when positive). Zero-coefficient variables are free in
-// the energy; they are filled from a deterministic splitmix64 stream
-// keyed by (seed, attempt, shard) so retries explore the degenerate
-// manifold instead of always returning the same corner.
-func solveLinearShard(m *qubo.Model, seed int64, attempt, shard int) *anneal.SampleSet {
-	x := make([]qubo.Bit, m.N())
-	energy := 0.0
-	state := uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(attempt)*0xbf58476d1ce4e5b9 ^ uint64(shard)
-	for i := range x {
-		v := m.Linear(i)
-		switch {
-		case v < 0:
-			x[i] = 1
-			energy += v
-		case v == 0:
-			x[i] = qubo.Bit(splitmix64(&state) & 1)
-		}
-	}
-	return &anneal.SampleSet{Samples: []anneal.Sample{{X: x, Energy: energy, Occurrences: 1}}}
-}
-
-// splitmix64 advances the state and returns the next 64-bit draw
-// (Steele et al.'s SplitMix64, the stream-seeding generator the
-// annealing substrate also derives its streams from).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

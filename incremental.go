@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qsmt/internal/anneal"
-	"qsmt/internal/portfolio"
 	"qsmt/internal/qubo"
 )
 
@@ -42,7 +41,6 @@ type componentEntry struct {
 	red      *qubo.Reduction   // nil when presolve is off or eliminated nothing
 	compiled *qubo.Compiled    // nil for coupler-free (closed-form) components
 	set      *anneal.SampleSet // component-local assignments, energy-sorted
-	trivial  bool              // coupler-free: solved closed-form
 }
 
 // IncrementalSession solves a sequence of related constraints, reusing
@@ -126,212 +124,85 @@ func (is *IncrementalSession) solve(ctx context.Context, key string, c Constrain
 			return nil, fatal
 		}
 		if !ok {
-			if checkErr != nil {
-				return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, checkErr)
-			}
-			return nil, ErrNoModel
+			return nil, noModel(checkErr)
 		}
-		return &Result{
-			Witness: w, Energy: model.Offset(), Attempts: 1,
-			Vars: 0, Shards: 0, Elapsed: time.Since(start), Stats: *st,
-		}, nil
+		return &Result{Witness: w, Energy: model.Offset(), Attempts: 1, Elapsed: time.Since(start), Stats: *st}, nil
 	}
 
-	parent := is.parentFor(key, model.N())
-
-	var lastCheck error
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: solving %s: %w", c.Name(), err)
-		}
-		st.Attempts = attempt + 1
-		st.Sampler = s.shardSamplerName(attempt)
-
-		// Resolve every component: memo hits are free; misses (and every
-		// component on a retry attempt, since a retry means the memoized
-		// combination failed verification) are solved fresh, reusing the
-		// memoized presolve reduction and compiled model where available.
-		sets := make([]*anneal.SampleSet, len(shards))
-		for i, sh := range shards {
-			fp := qubo.FingerprintOf(sh.Model)
-			prev := is.lookup(fp)
-			if attempt == 0 && prev != nil && prev.set.Len() > 0 {
-				st.IncrementalHits++
-				sets[i] = prev.set
-				continue
-			}
-			set, err := is.solveComponent(ctx, sh, fp, prev, parent, attempt, i, st)
-			if err != nil {
-				return nil, fmt.Errorf("qsmt: sampling %s (component %d/%d): %w", c.Name(), i, len(shards), err)
-			}
-			sets[i] = set
-		}
-
-		// Aggregate sample statistics across components: energies are
-		// additive over components plus the parent model's offset (the
-		// component models carry zero offsets; per-component presolve may
-		// move energy into a reduction offset, which the component's
-		// sample energies then already include).
-		best, mean, gf := model.Offset(), model.Offset(), 1.0
-		maxLen := 0
-		for _, ss := range sets {
-			st.Reads += ss.TotalReads()
-			st.observeKernel(ss.Kernel)
-			if ss.Len() == 0 {
-				maxLen = -1
-				break
-			}
-			if ss.Len() > maxLen && maxLen >= 0 {
-				maxLen = ss.Len()
-			}
-			best += ss.Best().Energy
-			mean += ss.MeanEnergy()
-			gf *= ss.GroundFraction(0)
-		}
-		if maxLen <= 0 {
-			// A (custom) sampler returned an empty set for some component;
-			// nothing to merge this attempt.
-			lastCheck = fmt.Errorf("qsmt: empty sample set for a component of %s", c.Name())
-			continue
-		}
-		st.observeBest(best)
-		st.MeanEnergy = mean
-		st.GroundFraction = gf
-
-		// Merge the k-th best sample of every component (clamped to each
-		// component's sample count) into the k-th full-space candidate —
-		// the same exact-decomposition merge the sharded solver uses.
-		limit := s.opts.CandidatesPerAttempt
-		if limit > maxLen {
-			limit = maxLen
-		}
-		phase := time.Now()
-		for k := 0; k < limit; k++ {
-			x := make([]qubo.Bit, model.N())
-			energy := model.Offset()
-			for i := range shards {
-				ss := sets[i]
-				idx := k
-				if idx >= ss.Len() {
-					idx = ss.Len() - 1
-				}
-				smp := ss.Samples[idx]
-				shards[i].Scatter(x, smp.X)
-				energy += smp.Energy
-			}
-			w, ok, fatal, checkErr := examineCandidate(c, x, st)
-			if fatal != nil {
-				st.DecodeVerify += time.Since(phase)
-				return nil, fatal
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			st.DecodeVerify += time.Since(phase)
-			is.setParent(key, x)
-			res := &Result{
-				Witness:  w,
-				Energy:   energy,
-				Attempts: attempt + 1,
-				Vars:     model.N(),
-				Shards:   len(shards),
-				Elapsed:  time.Since(start),
-			}
-			res.Stats = *st
-			return res, nil
-		}
-		st.DecodeVerify += time.Since(phase)
+	// Energies are additive over components plus the model's offset: the
+	// component models carry zero offsets, and per-component presolve
+	// moves energy into a reduction offset that the component's sample
+	// energies then already include.
+	p := &attemptPlan{
+		layout:  shards,
+		n:       model.N(),
+		offset:  model.Offset(),
+		racing:  s.portfolioShards(),
+		session: is,
+		parent:  is.parentFor(key, model.N()),
 	}
-	if lastCheck != nil {
-		return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck)
-	}
-	return nil, ErrNoModel
+	return s.solvePlan(ctx, c, p, model.N(), start, st, func(x []qubo.Bit) { is.setParent(key, x) })
 }
 
-// solveComponent solves one touched component and memoizes the result.
-// prev, when non-nil, is the component's previous memo entry; its
-// presolve reduction and compiled model are reused so a re-sample pays
-// only for sampler reads. The returned set holds component-local
-// full-space assignments (already lifted through the reduction).
-func (is *IncrementalSession) solveComponent(ctx context.Context, sh qubo.Shard, fp qubo.Fingerprint, prev *componentEntry, parent []qubo.Bit, attempt, ordinal int, st *SolveStats) (*anneal.SampleSet, error) {
+// resolve draws one sample set per component of p for an attempt, in
+// component order, so a component repeated within the model (palindrome
+// mirror pairs) hits the memo entry its first copy just stored. Memo
+// hits are free; misses — and every component on a retry attempt, since
+// a retry means the memoized combination failed verification — are
+// solved fresh, reusing the memoized presolve reduction and compiled
+// model where available so a re-sample pays only for sampler reads.
+// Fresh sample sets are lifted back to the component's full space before
+// memoizing, so merge-time Scatter and later memo hits need no reduction
+// bookkeeping.
+func (is *IncrementalSession) resolve(ctx context.Context, p *attemptPlan, attempt int, st *SolveStats) ([]*anneal.SampleSet, error) {
 	s := is.s
-	if sh.Model.NumQuadratic() == 0 {
-		st.ExactShards++
-		set := solveLinearShard(sh.Model, s.opts.Seed, attempt, ordinal)
-		is.store(fp, &componentEntry{set: set, trivial: true})
-		return set, nil
-	}
-
-	var red *qubo.Reduction
-	var compiled *qubo.Compiled
-	if prev != nil && prev.compiled != nil {
-		red, compiled = prev.red, prev.compiled
-		st.IncrementalPresolveReuses++
-	} else {
-		work, r := s.presolve(sh.Model, st)
-		red = r
+	sets := make([]*anneal.SampleSet, len(p.layout))
+	for i, sh := range p.layout {
+		fp := qubo.FingerprintOf(sh.Model)
+		prev := is.lookup(fp)
+		if attempt == 0 && prev != nil && prev.set.Len() > 0 {
+			st.IncrementalHits++
+			sets[i] = prev.set
+			continue
+		}
+		e := &componentEntry{}
+		if sh.Model.NumQuadratic() > 0 {
+			if prev != nil && prev.compiled != nil {
+				e.red, e.compiled = prev.red, prev.compiled
+				st.IncrementalPresolveReuses++
+			} else {
+				work, red := s.presolve(sh.Model, st)
+				phase := time.Now()
+				e.red, e.compiled = red, s.compileModel(work, st)
+				st.Compile += time.Since(phase)
+			}
+		}
+		u := s.shardUnit(sh.Model, e.compiled, st)
+		if s.takesSeeds(u.tier) {
+			u.seeds = is.componentSeeds(e.compiled, e.red, sh, p.parent, st)
+		}
 		phase := time.Now()
-		compiled = s.compileModel(work, st)
-		st.Compile += time.Since(phase)
-	}
-
-	var ss *anneal.SampleSet
-	var err error
-	warmed := false
-	if s.opts.ExactShardVars > 0 && compiled.N <= s.opts.ExactShardVars {
-		st.ExactShards++
-		phase := time.Now()
-		ss, err = s.sample(ctx, &anneal.ExactSolver{MaxStates: s.opts.CandidatesPerAttempt}, compiled)
+		ss, o, err := s.sampleUnit(ctx, &u, attempt, i)
 		st.Sample += time.Since(phase)
-	} else if s.portfolioShards() {
-		// Race the portfolio arms on the component; the session's parent
-		// witness rides along as a warm-start seed like any other.
-		seeds := is.componentSeeds(compiled, red, sh, parent, st)
-		if len(seeds) > 0 {
-			warmed = true
-			st.WarmSeeded++
+		if err != nil {
+			return nil, fmt.Errorf("shard %d/%d: %w", i, len(p.layout), err)
 		}
-		phase := time.Now()
-		var o *portfolio.Outcome
-		o, err = s.racePortfolio(ctx, compiled, seeds, attempt, ordinal)
-		st.Sample += time.Since(phase)
-		if err == nil {
-			st.observePortfolio(o)
-			ss = o.Set
+		st.observeUnit(&u, ss, o)
+		// The presolve identity keeps energies exact:
+		// E_component(Lift(x)) = E_reduced(x), offsets included.
+		if e.red != nil {
+			lifted := make([]anneal.Sample, ss.Len())
+			for k, smp := range ss.Samples {
+				lifted[k] = smp
+				lifted[k].X = e.red.Lift(smp.X)
+			}
+			ss = &anneal.SampleSet{Samples: lifted}
 		}
-	} else {
-		sampler := Sampler(s.samplerFor(attempt))
-		if ws, ok := warmSampler(sampler, is.componentSeeds(compiled, red, sh, parent, st)); ok {
-			sampler = ws
-			warmed = true
-			st.WarmSeeded++
-		}
-		phase := time.Now()
-		ss, err = s.sample(ctx, sampler, compiled)
-		st.Sample += time.Since(phase)
+		e.set = ss
+		is.store(fp, e)
+		sets[i] = ss
 	}
-	if err != nil {
-		return nil, err
-	}
-	if warmed && ss.Len() > 0 && ss.Best().Warm {
-		st.WarmHits++
-	}
-
-	// Lift the samples back to the component's full space before
-	// memoizing, so merge-time Scatter and later memo hits need no
-	// reduction bookkeeping. The presolve identity keeps energies exact:
-	// E_component(Lift(x)) = E_reduced(x), offsets included.
-	if red != nil {
-		lifted := make([]anneal.Sample, ss.Len())
-		for k, smp := range ss.Samples {
-			lifted[k] = smp
-			lifted[k].X = red.Lift(smp.X)
-		}
-		ss = &anneal.SampleSet{Samples: lifted}
-	}
-	is.store(fp, &componentEntry{red: red, compiled: compiled, set: ss})
-	return ss, nil
+	return sets, nil
 }
 
 // componentSeeds assembles warm-start states for a sampled component:

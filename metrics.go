@@ -158,6 +158,21 @@ func (st *SolveStats) observePortfolio(o *portfolio.Outcome) {
 	}
 }
 
+// observeUnit folds one sampled unit's race outcome and warm-start
+// result into the solve totals: WarmHits/WarmSeeded is the warm-start
+// hit rate over every unit that was offered warm states.
+func (st *SolveStats) observeUnit(u *unit, ss *anneal.SampleSet, o *portfolio.Outcome) {
+	if o != nil {
+		st.observePortfolio(o)
+	}
+	if len(u.seeds) > 0 {
+		st.WarmSeeded++
+		if ss.Len() > 0 && ss.Best().Warm {
+			st.WarmHits++
+		}
+	}
+}
+
 // observeBest folds one sample-set best energy into the running minimum.
 func (st *SolveStats) observeBest(e float64) {
 	if !st.bestSet || e < st.BestEnergy {

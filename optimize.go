@@ -28,9 +28,7 @@ import (
 	"fmt"
 	"time"
 
-	"qsmt/internal/anneal"
 	"qsmt/internal/core"
-	"qsmt/internal/portfolio"
 	"qsmt/internal/qubo"
 )
 
@@ -131,12 +129,12 @@ func abs(v float64) float64 {
 }
 
 // buildOptimizePlan assembles the combined model. The hard weight M is
-// Options.HardWeight when set, else 1 + softSpan/hardGap where softSpan
-// is the weighted sum of the softs' objective spans (the theory span
-// for graded objectives, whose gadgets realize it exactly; the model's
-// energy span for plain softs) and hardGap is the smallest penalty-tier
-// coefficient magnitude in the hard model — the minimum cost of
-// violating a *checked* hard property under the paper's ±A encodings.
+// 1 + softSpan/hardGap, where softSpan is the weighted sum of the softs'
+// objective spans (the theory span for graded objectives, whose gadgets
+// realize it exactly; the model's energy span for plain softs) and
+// hardGap is the smallest penalty-tier coefficient magnitude in the
+// hard model — the minimum cost of violating a *checked* hard property
+// under the paper's ±A encodings.
 // The SoftFactor·A printable style-bias terms are deliberately not
 // treated as hard: Check never enforces styling, and an objective like
 // MinLength must be able to out-pull the bias on unconstrained
@@ -222,15 +220,12 @@ func (s *Solver) buildOptimizePlan(hard []Constraint, soft []SoftConstraint) (*o
 		observeGap(t.W)
 	}
 
-	M := s.opts.HardWeight
-	if M <= 0 {
-		M = 1
-		if softSpan > 0 {
-			if gap <= 0 {
-				gap = 1
-			}
-			M = 1 + softSpan/gap
+	M := 1.0
+	if softSpan > 0 {
+		if gap <= 0 {
+			gap = 1
 		}
+		M = 1 + softSpan/gap
 	}
 
 	combined := qubo.New(totalVars)
@@ -346,191 +341,40 @@ func (s *Solver) optimizeContext(ctx context.Context, hard []Constraint, soft []
 	st.HardWeight = pl.hardWeight
 
 	work, red := s.presolveProtected(pl.combined, pl.protected, st)
-	if s.opts.Shard {
-		res, err, handled := s.optimizeSharded(ctx, pl, work, red, start, st)
-		if handled {
-			return res, err
-		}
-		st.ShardFallback = true
-	}
-	compiled := s.compileModel(work, st)
-	st.Compile = time.Since(start) - st.Presolve
-	seeds := s.warmSeeds(compiled)
-
+	p := s.planModel(work, red, start, st)
 	var incumbent *Result
-	var lastCheck error
-	var lastBest []qubo.Bit
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: optimizing %s: %w", pl.hard.Name(), err)
+	lastCheck, err := s.runAttempts(ctx, pl.hard.Name(), p, func(x []qubo.Bit, energy float64, attempt int) (bool, error) {
+		w, obj, vals, ok, fatal, checkErr := pl.grade(x, st)
+		if !ok {
+			return fatal != nil, checkErr
 		}
-		refining := s.opts.RefineRetries && s.opts.Sampler == nil && attempt > 0 && lastBest != nil
-		var ss *anneal.SampleSet
-		var err error
-		st.Attempts = attempt + 1
-		if s.portfolioWholeModel() && !refining {
-			st.Sampler = "portfolio"
-			if len(seeds) > 0 {
-				st.WarmSeeded++
-			}
-			phase := time.Now()
-			var o *portfolio.Outcome
-			o, err = s.racePortfolio(ctx, compiled, seeds, attempt, 0)
-			st.Sample += time.Since(phase)
-			if err == nil {
-				st.observePortfolio(o)
-				ss = o.Set
-			}
-		} else {
-			sampler := s.samplerFor(attempt)
-			if refining {
-				sampler = &anneal.ReverseAnnealer{
-					Initial: lastBest,
-					Reads:   64,
-					Sweeps:  1000,
-					Seed:    s.opts.Seed + int64(attempt)*1_000_003,
-				}
-			} else if ws, ok := warmSampler(sampler, seeds); ok {
-				sampler = ws
-				st.WarmSeeded++
-			}
-			st.Sampler = samplerName(sampler)
-			phase := time.Now()
-			ss, err = s.sample(ctx, sampler, compiled)
-			st.Sample += time.Since(phase)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("qsmt: sampling %s: %w", pl.hard.Name(), err)
-		}
-		st.Reads += ss.TotalReads()
-		st.observeKernel(ss.Kernel)
-		if len(ss.Samples) == 0 {
-			lastCheck = fmt.Errorf("qsmt: sampler returned an empty sample set for %s", pl.hard.Name())
-			continue
-		}
-		lastBest = ss.Best().X
-		st.observeBest(ss.Best().Energy)
-		st.MeanEnergy = ss.MeanEnergy()
-		st.GroundFraction = ss.GroundFraction(0)
-
-		limit := s.opts.CandidatesPerAttempt
-		if limit > len(ss.Samples) {
-			limit = len(ss.Samples)
-		}
-		phase := time.Now()
-		for k := 0; k < limit; k++ {
-			sample := ss.Samples[k]
-			w, obj, vals, ok, fatal, checkErr := pl.grade(liftBits(red, sample.X), st)
-			if fatal != nil {
-				st.DecodeVerify += time.Since(phase)
-				return nil, fatal
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			if incumbent == nil || obj < incumbent.Objective-optObjectiveEps {
-				st.ObjectiveImprovements++
-				incumbent = &Result{
-					Witness:         w,
-					Energy:          sample.Energy,
-					Attempts:        attempt + 1,
-					Vars:            pl.combined.N(),
-					Shards:          1,
-					Objective:       obj,
-					ObjectiveValues: vals,
-				}
+		if incumbent == nil || obj < incumbent.Objective-optObjectiveEps {
+			st.ObjectiveImprovements++
+			incumbent = &Result{
+				Witness:         w,
+				Energy:          energy,
+				Attempts:        attempt + 1,
+				Vars:            pl.combined.N(),
+				Shards:          p.shards(),
+				Objective:       obj,
+				ObjectiveValues: vals,
 			}
 		}
-		st.DecodeVerify += time.Since(phase)
-		if incumbent != nil && incumbent.Objective <= pl.bound+optObjectiveEps {
-			break // proved optimal; further attempts cannot improve
-		}
+		// A proved-optimal incumbent cannot be strictly beaten: stop
+		// scanning and retrying.
+		return incumbent.Objective <= pl.bound+optObjectiveEps, nil
+	}, st)
+	if err != nil {
+		return nil, err
 	}
 	return s.finishOptimize(pl, incumbent, lastCheck, start, st)
-}
-
-// optimizeSharded is the optimize analogue of solveSharded: the
-// combined model's components are solved as independent shards and the
-// k-th-best merged candidates are graded against the theory objective.
-// handled is false when the interaction graph is connected.
-func (s *Solver) optimizeSharded(ctx context.Context, pl *optPlan, model *qubo.Model, red *qubo.Reduction, start time.Time, st *SolveStats) (*Result, error, bool) {
-	shards := qubo.Components(model)
-	if len(shards) <= 1 {
-		return nil, nil, false
-	}
-	st.Shards = len(shards)
-	plans := s.planShards(shards, st)
-	st.Compile = time.Since(start) - st.Presolve
-
-	var incumbent *Result
-	var lastCheck error
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: optimizing %s: %w", pl.hard.Name(), err), true
-		}
-		st.Attempts = attempt + 1
-		st.Sampler = s.shardSamplerName(attempt)
-
-		phase := time.Now()
-		sets, err := s.sampleShards(ctx, plans, attempt, st)
-		st.Sample += time.Since(phase)
-		if err != nil {
-			return nil, fmt.Errorf("qsmt: sampling %s: %w", pl.hard.Name(), err), true
-		}
-
-		maxLen := aggregateShardSets(model, sets, st)
-		if maxLen <= 0 {
-			lastCheck = fmt.Errorf("qsmt: empty sample set for a shard of %s", pl.hard.Name())
-			continue
-		}
-
-		limit := s.opts.CandidatesPerAttempt
-		if limit > maxLen {
-			limit = maxLen
-		}
-		phase = time.Now()
-		for k := 0; k < limit; k++ {
-			x, energy := mergeShardCandidate(model, plans, sets, k)
-			w, obj, vals, ok, fatal, checkErr := pl.grade(liftBits(red, x), st)
-			if fatal != nil {
-				st.DecodeVerify += time.Since(phase)
-				return nil, fatal, true
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			if incumbent == nil || obj < incumbent.Objective-optObjectiveEps {
-				st.ObjectiveImprovements++
-				incumbent = &Result{
-					Witness:         w,
-					Energy:          energy,
-					Attempts:        attempt + 1,
-					Vars:            pl.combined.N(),
-					Shards:          len(shards),
-					Objective:       obj,
-					ObjectiveValues: vals,
-				}
-			}
-		}
-		st.DecodeVerify += time.Since(phase)
-		if incumbent != nil && incumbent.Objective <= pl.bound+optObjectiveEps {
-			break
-		}
-	}
-	res, err := s.finishOptimize(pl, incumbent, lastCheck, start, st)
-	return res, err, true
 }
 
 // finishOptimize settles an optimize run: stamp the incumbent with
 // bound/optimality status and final stats, or report the failure.
 func (s *Solver) finishOptimize(pl *optPlan, incumbent *Result, lastCheck error, start time.Time, st *SolveStats) (*Result, error) {
 	if incumbent == nil {
-		if lastCheck != nil {
-			return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck)
-		}
-		return nil, ErrNoModel
+		return nil, noModel(lastCheck)
 	}
 	incumbent.ObjectiveBound = pl.bound
 	incumbent.ObjectiveOptimal = incumbent.Objective <= pl.bound+optObjectiveEps

@@ -72,13 +72,6 @@ type Options struct {
 	// are decoded and checked per attempt before re-annealing.
 	// Default 16.
 	CandidatesPerAttempt int
-	// RefineRetries switches retry attempts (after the first) to
-	// *reverse annealing* from the previous attempt's best sample:
-	// instead of a fresh random start, the annealer partially reheats
-	// the near-miss and re-cools, exploring its neighborhood — the
-	// refinement mode of real annealing hardware. Only applies when no
-	// custom Sampler is set.
-	RefineRetries bool
 	// Metrics, when non-nil, receives per-solve counters, phase timings
 	// and sample-quality observations (see NewSolverMetrics). The same
 	// numbers are always available per call via Result.Stats; Metrics
@@ -140,16 +133,6 @@ type Options struct {
 	// scheduling, so Off restores the fully deterministic sequential
 	// tier path.
 	Portfolio Toggle
-	// HardWeight overrides the automatic weight-gap scaling of
-	// Solver.Optimize: the multiplier M applied to every hard-constraint
-	// penalty before soft objective terms are layered on. 0 (the
-	// default) derives M from the soft bundle's total energy span and
-	// the hard model's minimum violation granularity so that no
-	// combination of soft rewards can buy a hard violation. Set it only
-	// when the automatic bound is provably looser than your encoding
-	// needs (it grows coefficient ratios, which costs annealer
-	// resolution).
-	HardWeight float64
 }
 
 // warmSeedCount is how many warm-start states the solver derives per
@@ -436,125 +419,7 @@ func (s *Solver) solveContext(ctx context.Context, c Constraint, st *SolveStats)
 	// connected interaction graph can fall apart into components that the
 	// shard planner then solves closed-form or exactly.
 	work, red := s.presolve(model, st)
-	if s.opts.Shard {
-		res, err, handled := s.solveSharded(ctx, c, work, red, model.N(), start, st)
-		if handled {
-			return res, err
-		}
-		st.ShardFallback = true
-	}
-	compiled := s.compileModel(work, st)
-	st.Compile = time.Since(start) - st.Presolve
-	seeds := s.warmSeeds(compiled)
-
-	var lastCheck error
-	var lastBest []qubo.Bit
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("qsmt: solving %s: %w", c.Name(), err)
-		}
-		refining := s.opts.RefineRetries && s.opts.Sampler == nil && attempt > 0 && lastBest != nil
-		var ss *anneal.SampleSet
-		var err error
-		warmed := false
-		st.Attempts = attempt + 1
-		if s.portfolioWholeModel() && !refining {
-			// Race the portfolio arms on the whole model; refinement
-			// attempts keep the sequential reverse annealer, which has no
-			// portfolio analogue.
-			st.Sampler = "portfolio"
-			if len(seeds) > 0 {
-				warmed = true
-				st.WarmSeeded++
-			}
-			phase := time.Now()
-			var o *portfolio.Outcome
-			o, err = s.racePortfolio(ctx, compiled, seeds, attempt, 0)
-			st.Sample += time.Since(phase)
-			if err == nil {
-				st.observePortfolio(o)
-				ss = o.Set
-			}
-		} else {
-			sampler := s.samplerFor(attempt)
-			if refining {
-				sampler = &anneal.ReverseAnnealer{
-					Initial: lastBest,
-					Reads:   64,
-					Sweeps:  1000,
-					Seed:    s.opts.Seed + int64(attempt)*1_000_003,
-				}
-			} else if ws, ok := warmSampler(sampler, seeds); ok {
-				sampler = ws
-				warmed = true
-				st.WarmSeeded++
-			}
-			st.Sampler = samplerName(sampler)
-			phase := time.Now()
-			ss, err = s.sample(ctx, sampler, compiled)
-			st.Sample += time.Since(phase)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("qsmt: sampling %s: %w", c.Name(), err)
-		}
-		st.Reads += ss.TotalReads()
-		st.observeKernel(ss.Kernel)
-		if len(ss.Samples) == 0 {
-			// A (custom or remote) sampler returned a well-formed but
-			// empty set: nothing to decode this attempt. Record the
-			// failure so exhausting the retry budget reports the cause
-			// instead of a bare ErrNoModel.
-			lastCheck = fmt.Errorf("qsmt: sampler returned an empty sample set for %s", c.Name())
-			continue
-		}
-		lastBest = ss.Best().X
-		st.observeBest(ss.Best().Energy)
-		st.MeanEnergy = ss.MeanEnergy()
-		st.GroundFraction = ss.GroundFraction(0)
-		if warmed && ss.Best().Warm {
-			st.WarmHits++
-		}
-		limit := s.opts.CandidatesPerAttempt
-		if limit > len(ss.Samples) {
-			limit = len(ss.Samples)
-		}
-		phase := time.Now()
-		var accepted *Result
-		var fatal error
-		for k := 0; k < limit; k++ {
-			sample := ss.Samples[k]
-			w, ok, fat, checkErr := examineCandidate(c, liftBits(red, sample.X), st)
-			if fat != nil {
-				fatal = fat
-				break
-			}
-			if !ok {
-				lastCheck = checkErr
-				continue
-			}
-			accepted = &Result{
-				Witness:  w,
-				Energy:   sample.Energy,
-				Attempts: attempt + 1,
-				Vars:     model.N(),
-				Shards:   1,
-			}
-			break
-		}
-		st.DecodeVerify += time.Since(phase)
-		if fatal != nil {
-			return nil, fatal
-		}
-		if accepted != nil {
-			accepted.Elapsed = time.Since(start)
-			accepted.Stats = *st
-			return accepted, nil
-		}
-	}
-	if lastCheck != nil {
-		return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck)
-	}
-	return nil, ErrNoModel
+	return s.solvePlan(ctx, c, s.planModel(work, red, start, st), model.N(), start, st, nil)
 }
 
 // SolveString solves a string-witness constraint and returns the string.
@@ -667,20 +532,13 @@ func (s *Solver) enumerateContext(ctx context.Context, c Constraint, k int, st *
 			if len(out) >= k {
 				break
 			}
-			st.Candidates++
-			w, err := c.Decode(sample.X)
-			if err != nil {
-				st.PenaltyViolations++
-				lastCheck = err
-				continue
+			w, ok, fatal, checkErr := examineCandidate(c, sample.X, st)
+			if fatal != nil {
+				st.DecodeVerify += time.Since(phase)
+				return nil, fatal
 			}
-			if err := c.Check(w); err != nil {
-				st.VerifyFailures++
-				lastCheck = err
-				if errors.Is(err, ErrUnsatisfiable) {
-					st.DecodeVerify += time.Since(phase)
-					return nil, err
-				}
+			if !ok {
+				lastCheck = checkErr
 				continue
 			}
 			key := witnessKey(w)
@@ -699,10 +557,7 @@ func (s *Solver) enumerateContext(ctx context.Context, c Constraint, k int, st *
 		}
 	}
 	if len(out) == 0 {
-		if lastCheck != nil {
-			return nil, fmt.Errorf("%w (last failure: %v)", ErrNoModel, lastCheck)
-		}
-		return nil, ErrNoModel
+		return nil, noModel(lastCheck)
 	}
 	return out, nil
 }
